@@ -1,32 +1,25 @@
-"""Runtime backends x transports x pipeline: modeled vs *measured*.
+"""Runtime backends x transports: modeled vs *measured*.
 
 Unlike the paper-figure benches (which report model-seconds from the
 cost ledgers), this bench actually executes a one-round HCube plan on
 the ``serial``, ``threads`` and ``processes`` backends of
 :mod:`repro.runtime`, under all three data-plane transports (``pickle``
 partitions, zero-copy ``shm`` descriptors, and loopback ``tcp``
-block-store descriptors), sweeping worker counts — and, since PR 5,
-with pipelined epochs both **on** (routing parallelized, publish
-overlapped with execution) and **off** (the historical strict
-route -> publish -> execute barriers), so the pipelining win is
-machine-readable from the first run.
+block-store descriptors), sweeping worker counts.  Every run streams
+its epoch (routing parallelized, publish overlapped with execution).
 
 Columns: the modeled total, the measured wall-clock, the measured
-speedup over ``serial`` at the same (workers, transport, pipeline), the
-bytes the coordinator serialized into task payloads (``shipped`` — the
-column that shrinks under ``shm``/``tcp``), and ``overlap_s`` — the
-wall-clock window during which task production (routing/publish/mint)
-and task execution coexisted, zero by construction with the pipeline
-off.
+speedup over ``serial`` at the same (workers, transport), the bytes the
+coordinator serialized into task payloads (``shipped`` — the column that
+shrinks under ``shm``/``tcp``), and ``overlap_s`` — the wall-clock
+window during which task production (routing/publish/mint) and task
+execution coexisted (zero on the serial backend).
 
 Workload: triangle counting (Q1) on a synthetic heavy-tailed (skewed)
 power-law graph — hub vertices make per-worker Leapfrog work expensive
 enough to amortize the process-pool pickling overhead.  On a machine
 with >= 4 usable cores the ``processes`` row at 4 workers should show a
->= 1.3x measured speedup over ``serial``, and pipeline=on should be
-measurably faster than pipeline=off for ``processes``+``shm`` (the
-coordinator's publish memcpy hides behind worker execution); with fewer
-cores (CI containers are often pinned to 1) the bench still runs and
+>= 1.3x measured speedup over ``serial``; with fewer cores (CI containers are often pinned to 1) the bench still runs and
 the table records the honest — smaller — ratios next to the
 available-core count.
 
@@ -52,8 +45,7 @@ Run:  PYTHONPATH=src python benchmarks/bench_runtime_backends.py
       [--service-json BENCH_service.json] [--only-service]
 
 ``--trace-dir`` additionally writes one Chrome trace-event JSON per
-(backend, transport, workers, pipeline) config — the pipelined overlap
-window is directly visible in Perfetto as worker-task spans crossing
+(backend, transport, workers) config — the streamed overlap window is directly visible in Perfetto as worker-task spans crossing
 the coordinator's publish spans.  ``--profile-dir`` runs an EXPLAIN
 ANALYZE pass over the two kernel workloads (threads backend, so the
 phases have measured wall-clock) and writes one ``profile_<name>.json``
@@ -65,8 +57,7 @@ Env:  REPRO_BENCH_SKEW_EDGES (default 12000),
       REPRO_BENCH_HOSTS (optional "host:port,..." — adds a
       remote-backend sweep against running `repro serve` agents).
 
-``--json`` writes the per-(backend, transport, workers, pipeline)
-records and ``--kernels-json`` the per-(workload, kernel) records so
+``--json`` writes the per-(backend, transport, workers) records and ``--kernels-json`` the per-(workload, kernel) records so
 the perf trajectory is machine-readable across PRs.
 """
 
@@ -101,7 +92,6 @@ WORKER_SWEEP = tuple(
     os.environ.get("REPRO_BENCH_RUNTIME_WORKERS", "1,2,4").split(","))
 BACKENDS = ("serial", "threads", "processes")
 TRANSPORT_SWEEP = available_transports()
-PIPELINE_SWEEP = (False, True)
 #: Optional running worker agents for a remote-backend leg.
 REMOTE_HOSTS = os.environ.get("REPRO_BENCH_HOSTS") or None
 
@@ -139,7 +129,7 @@ def path_testcase():
 def run_kernels():
     """Sweep kernels over one acyclic and one cyclic workload.
 
-    Serial, one worker, inline path: wall-clock differences are pure
+    Serial, one worker, pickle transport: wall-clock differences are pure
     kernel differences (no transport or pool noise).  Asserts all
     kernels agree on counts and ``adaptive`` never loses to the worst
     pure kernel.
@@ -338,11 +328,10 @@ def report_service(records, json_path=None) -> None:
 
 
 def _run_once(query, db, cluster, backend, transport, workers,
-              pipeline, trace_dir=None) -> dict:
+              trace_dir=None) -> dict:
     kwargs = {"hosts": REMOTE_HOSTS} if backend == "remote" else {}
     executor = create_executor(backend, max_workers=workers,
-                               transport=transport, pipeline=pipeline,
-                               **kwargs)
+                               transport=transport, **kwargs)
     tracer = Tracer() if trace_dir else None
     try:
         start = time.perf_counter()
@@ -353,21 +342,17 @@ def _run_once(query, db, cluster, backend, transport, workers,
     finally:
         executor.close()
     if tracer is not None:
-        pipe = "on" if pipeline else "off"
         path = os.path.join(
-            trace_dir,
-            f"trace_{backend}_{transport}_w{workers}_pipe-{pipe}.json")
+            trace_dir, f"trace_{backend}_{transport}_w{workers}.json")
         write_chrome_trace(path, tracer.spans)
     assert result.ok, \
-        f"{backend}/{transport}/pipeline={pipeline} failed: " \
-        f"{result.failure}"
+        f"{backend}/{transport} failed: {result.failure}"
     plane = result.extra.get("data_plane", {})
     tel = result.telemetry
     return {
         "backend": backend,
         "transport": transport,
         "workers": workers,
-        "pipeline": "on" if pipeline else "off",
         "count": result.count,
         "modeled_seconds": result.breakdown.total,
         "measured_seconds": measured,
@@ -383,11 +368,11 @@ def _run_once(query, db, cluster, backend, transport, workers,
 
 
 def run_backends(trace_dir=None):
-    """Sweep backends x transports x workers x pipeline; return records."""
+    """Sweep backends x transports x workers; return records."""
     query, db = skew_testcase()
     records = []
     counts = set()
-    serial_measured: dict[tuple[int, str, str], float] = {}
+    serial_measured: dict[tuple[int, str], float] = {}
     backends = BACKENDS + (("remote",) if REMOTE_HOSTS else ())
     for workers in WORKER_SWEEP:
         cluster = Cluster(num_workers=workers)
@@ -395,49 +380,35 @@ def run_backends(trace_dir=None):
             for transport in TRANSPORT_SWEEP:
                 if backend == "remote" and transport == "shm":
                     continue  # agents may not share this host's memory
-                for pipeline in PIPELINE_SWEEP:
-                    rec = _run_once(query, db, cluster, backend,
-                                    transport, workers, pipeline,
-                                    trace_dir=trace_dir)
-                    counts.add(rec["count"])
-                    key = (workers, transport, rec["pipeline"])
-                    if backend == "serial":
-                        serial_measured[key] = rec["measured_seconds"]
-                    rec["speedup_vs_serial"] = (
-                        serial_measured.get(key, rec["measured_seconds"])
-                        / rec["measured_seconds"])
-                    records.append(rec)
+                rec = _run_once(query, db, cluster, backend, transport,
+                                workers, trace_dir=trace_dir)
+                counts.add(rec["count"])
+                key = (workers, transport)
+                if backend == "serial":
+                    serial_measured[key] = rec["measured_seconds"]
+                rec["speedup_vs_serial"] = (
+                    serial_measured.get(key, rec["measured_seconds"])
+                    / rec["measured_seconds"])
+                records.append(rec)
     assert len(counts) == 1, f"backends disagree: {counts}"
     # The descriptor-only planes must move strictly fewer coordinator-
-    # pickled bytes than the pickle plane on the same (backend, workers,
-    # pipeline) run — and under tcp the partition bytes must show up as
-    # block store fetches instead.  Pipelining must not change any
-    # data-plane total.
-    by_key = {(r["backend"], r["workers"], r["transport"], r["pipeline"]):
-              r for r in records}
+    # pickled bytes than the pickle plane on the same (backend, workers)
+    # run — and under tcp the partition bytes must show up as block
+    # store fetches instead.
+    by_key = {(r["backend"], r["workers"], r["transport"]): r
+              for r in records}
     for workers in WORKER_SWEEP:
         for backend in BACKENDS:
-            for pipeline in ("off", "on"):
-                pik = by_key[(backend, workers, "pickle", pipeline)]
-                for transport in ("shm", "tcp"):
-                    rec = by_key[(backend, workers, transport, pipeline)]
-                    assert (rec["coordinator_shipped_bytes"]
-                            < pik["coordinator_shipped_bytes"]), \
-                        (f"{transport} did not reduce shipped bytes at "
-                         f"{backend}/{workers}/pipeline={pipeline}")
-                tcp = by_key[(backend, workers, "tcp", pipeline)]
-                assert tcp["fetched_bytes"] >= tcp["published_bytes"] \
-                    > 0, \
-                    f"tcp fetches not accounted at {backend}/{workers}"
-            for transport in TRANSPORT_SWEEP:
-                on = by_key[(backend, workers, transport, "on")]
-                off = by_key[(backend, workers, transport, "off")]
-                for key in ("count", "coordinator_shipped_bytes",
-                            "published_bytes"):
-                    assert on[key] == off[key], \
-                        (f"pipeline changed {key} at "
-                         f"{backend}/{transport}/{workers}")
-                assert off["overlap_s"] == 0.0
+            pik = by_key[(backend, workers, "pickle")]
+            for transport in ("shm", "tcp"):
+                rec = by_key[(backend, workers, transport)]
+                assert (rec["coordinator_shipped_bytes"]
+                        < pik["coordinator_shipped_bytes"]), \
+                    (f"{transport} did not reduce shipped bytes at "
+                     f"{backend}/{workers}")
+            tcp = by_key[(backend, workers, "tcp")]
+            assert tcp["fetched_bytes"] >= tcp["published_bytes"] > 0, \
+                f"tcp fetches not accounted at {backend}/{workers}"
     return records
 
 
@@ -451,12 +422,12 @@ def main(argv=None) -> None:
                              "(e.g. BENCH_kernels.json)")
     parser.add_argument("--only-kernels", action="store_true",
                         help="run only the kernel sweep (skip the "
-                             "backend x transport x pipeline sweep)")
+                             "backend x transport sweep)")
     parser.add_argument("--trace-dir", metavar="DIR", default=None,
                         help="write one Chrome trace-event JSON per "
-                             "(backend, transport, workers, pipeline) "
-                             "config into DIR — load in Perfetto to "
-                             "see the pipelined overlap window")
+                             "(backend, transport, workers) config into "
+                             "DIR — load in Perfetto to see the "
+                             "streamed overlap window")
     parser.add_argument("--profile-dir", metavar="DIR", default=None,
                         help="EXPLAIN ANALYZE the two kernel workloads "
                              "and write profile_<name>.json plus a "
@@ -487,7 +458,7 @@ def main(argv=None) -> None:
         kernel_rows,
         title=(f"Join kernels on opposed workloads (acyclic "
                f"{KERNEL_EDGES:,}-edge path, cyclic {SKEW_EDGES:,}-edge "
-               f"skew triangle; best of {KERNEL_REPS}, serial inline)"))
+               f"skew triangle; best of {KERNEL_REPS}, serial)"))
     report("kernels", kernel_table)
     if args.kernels_json:
         payload = {
@@ -506,7 +477,7 @@ def main(argv=None) -> None:
     if args.only_kernels:
         return
     records = run_backends(trace_dir=args.trace_dir)
-    rows = [[r["backend"], r["transport"], r["workers"], r["pipeline"],
+    rows = [[r["backend"], r["transport"], r["workers"],
              f"{r['count']:,}",
              f"{r['modeled_seconds']:.4f}",
              f"{r['measured_seconds']:.4f}",
@@ -516,46 +487,26 @@ def main(argv=None) -> None:
              f"{r['speedup_vs_serial']:.2f}x"]
             for r in records]
     table = fmt_table(
-        ["backend", "transport", "workers", "pipeline", "count",
-         "modeled_s", "measured_s", "overlap_s", "shipped_B",
+        ["backend", "transport", "workers", "count", "modeled_s", "measured_s", "overlap_s", "shipped_B",
          "fetched_B", "speedup_vs_serial"],
         rows,
-        title=(f"Runtime backends x transports x pipeline on the "
+        title=(f"Runtime backends x transports on the "
                f"synthetic skew graph ({SKEW_EDGES:,} edges, "
                f"{cores} usable core(s))"))
-    # Pipeline win, summarized per (backend, transport) at the largest
-    # worker count (wall-clock; expect on <= off on multi-core hosts).
-    by_key = {(r["backend"], r["workers"], r["transport"], r["pipeline"]):
-              r for r in records}
-    w = max(WORKER_SWEEP)
-    gains = []
-    for backend in sorted({r["backend"] for r in records}):
-        for transport in TRANSPORT_SWEEP:
-            on = by_key.get((backend, w, transport, "on"))
-            off = by_key.get((backend, w, transport, "off"))
-            if on and off:
-                gains.append(
-                    f"  {backend}/{transport} x{w}: "
-                    f"off={off['measured_seconds']:.4f}s "
-                    f"on={on['measured_seconds']:.4f}s "
-                    f"({off['measured_seconds'] / on['measured_seconds']:.2f}x, "
-                    f"overlap={on['overlap_s']:.4f}s)")
-    note = ("\nPipeline on-vs-off at the widest sweep point:\n"
-            + "\n".join(gains)
-            + "\n\nNote: 'modeled_s' is the cost-model total for the "
+    note = ("\n\nNote: 'modeled_s' is the cost-model total for the "
             "simulated 28-node-style cluster; 'measured_s' is real "
             "wall-clock on this machine.  'overlap_s' is the window "
             "during which the coordinator was still routing/publishing "
-            "while workers already executed tasks (0 with the pipeline "
-            "off, and 0 on the serial backend — inline execution has "
-            "no concurrency to claim).  'shipped_B' counts bytes the "
+            "while workers already executed tasks (0 on the serial "
+            "backend — one task at a time has no concurrency to "
+            "claim).  'shipped_B' counts bytes the "
             "coordinator serialized "
             "into task payloads — full partition matrices under the "
             "pickle transport, descriptors under shm and tcp.  "
             "'fetched_B' counts bytes workers pulled back out of the "
             "tcp block store.  The processes backend needs >= as many "
-            "usable cores as workers to show its speedup — and the "
-            "pipeline needs >= 2 usable cores to show overlap wins; "
+            "usable cores as workers to show its speedup, and overlap "
+            "wins need >= 2 usable cores; "
             f"this machine exposes {cores}.")
     report("runtime_backends", table + note)
     if args.json:

@@ -7,7 +7,7 @@ that is not a module-level callable — a lambda, a closure, a function
 defined inside another function, a bound method — either fails to
 pickle or silently rebinds to the wrong state on the worker.  The rule:
 
-- the ``fn`` handed to ``Executor.map_tasks`` / ``submit_tasks`` must be
+- the ``fn`` handed to ``Executor.submit_tasks`` must be
   a module-level function (``functools.partial`` is allowed only around
   one);
 - arguments stamped onto task payloads (``WorkerTask``, ``BagTask``,
@@ -31,7 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 RULE = "spawn-safety"
 
 #: Executor methods whose first argument travels to worker processes.
-_SEAM_METHODS = {"map_tasks", "submit_tasks"}
+_SEAM_METHODS = {"submit_tasks"}
 
 #: Task payload classes shipped through executors (docs/runtime.md).
 _TASK_CLASSES = {"WorkerTask", "BagTask", "PartitionJoinTask"}

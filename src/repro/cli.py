@@ -68,14 +68,11 @@ def _session_for(args) -> JoinSession:
     Every flag defaults to None so precedence is flag > REPRO_* env
     (RunConfig's default factories) > built-in default.
     """
-    pipeline_flag = getattr(args, "pipeline", None)
     config = RunConfig().replace(
         workers=args.workers, backend=args.backend,
         transport=args.transport, hosts=getattr(args, "hosts", None),
         samples=args.samples, scale=_resolve_scale(args.scale),
         kernel=getattr(args, "kernel", None),
-        pipeline=(None if pipeline_flag is None
-                  else pipeline_flag == "on"),
         # store_true flags can only opt in; absence defers to
         # REPRO_PROFILE via RunConfig's default factory.
         profile=(True if getattr(args, "profile", False) else None),
@@ -146,7 +143,6 @@ def _cmd_run(args) -> int:
               f"edges/relation, {session.cluster.num_workers} workers, "
               f"backend={session.config.backend}, "
               f"transport={session.transport_label}, "
-              f"pipeline={'on' if session.config.pipeline else 'off'}, "
               f"kernel={session.config.kernel}")
         print(f"{'engine':14} {'count':>12} {'opt':>8} {'pre':>8} "
               f"{'comm':>8} {'comp':>8} {'total':>8} {'wall':>8} "
@@ -468,12 +464,9 @@ def _cmd_serve_sql(args) -> int:
     from .obs.log import configure_logging
 
     configure_logging(args.log_level)
-    pipeline_flag = getattr(args, "pipeline", None)
     config = RunConfig().replace(
         workers=args.workers, backend=args.backend,
-        transport=args.transport, hosts=args.hosts, kernel=args.kernel,
-        pipeline=(None if pipeline_flag is None
-                  else pipeline_flag == "on"))
+        transport=args.transport, hosts=args.hosts, kernel=args.kernel)
     port = args.port if args.port is not None else default_service_port()
     server = QueryServer(
         host=args.host, port=port, config=config,
@@ -749,12 +742,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "vectorized hash joins, 'adaptive' picks per "
                             "subquery (default: $REPRO_KERNEL or "
                             "adaptive); see docs/kernels.md")
-        p.add_argument("--pipeline", default=None,
-                       choices=["on", "off"],
-                       help="pipelined epochs: overlap routing/publish "
-                            "with task execution ('off' restores the "
-                            "strict barriers for A/B; default: "
-                            "$REPRO_PIPELINE or on)")
 
     run_p = sub.add_parser("run", help="run engines on a test-case")
     common(run_p)

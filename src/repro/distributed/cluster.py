@@ -9,8 +9,8 @@ fresh cost ledgers.
 
 The ``runtime`` field is a *hint* naming the execution backend
 (:mod:`repro.runtime`) that should carry local per-cube computation:
-``serial`` keeps everything in-process (the historical simulated
-behaviour), ``threads``/``processes`` run worker tasks on a real pool,
+``serial`` runs worker tasks one by one in the calling thread,
+``threads``/``processes`` run worker tasks on a real pool,
 and ``remote`` drives :mod:`repro.net` worker agents on other machines.
 The hint is resolved into an :class:`repro.runtime.Executor` by
 :func:`repro.runtime.executor_for`.

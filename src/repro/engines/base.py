@@ -15,7 +15,7 @@ from ..distributed.metrics import CostBreakdown
 from ..errors import BudgetExceeded, ConfigError, OutOfMemory, WorkerCrashed
 from ..ghd.decomposition import Hypertree
 from ..query.query import JoinQuery
-from ..runtime.executor import Executor
+from ..runtime.executor import Executor, default_executor
 from ..runtime.telemetry import RuntimeTelemetry
 
 __all__ = ["EngineResult", "Engine", "EngineOptions", "run_engine_safely",
@@ -50,7 +50,7 @@ class EngineOptions:
     hypertree: Hypertree | None = None
     #: :mod:`repro.kernels` key (``wcoj`` | ``binary`` | ``adaptive``)
     #: for per-bag/per-cube join execution; None keeps each engine's
-    #: historical pure-Leapfrog path.
+    #: default (``wcoj``, pure Leapfrog; SparkSQL is pinned to binary).
     kernel: str | None = None
 
     def merged_with(self, other: "EngineOptions | None" = None,
@@ -113,12 +113,12 @@ class EngineResult:
 
     @property
     def telemetry(self) -> RuntimeTelemetry | None:
-        """Measured wall-clock telemetry, when the run used a backend."""
+        """Measured wall-clock telemetry (None only on failed runs)."""
         return self.extra.get("telemetry")
 
     @property
     def data_plane(self) -> dict | None:
-        """Physical data-plane counters, when the run used a backend.
+        """Physical data-plane counters (None when nothing was published).
 
         Keys follow :class:`repro.runtime.transport.TransportStats`
         (``published_bytes``, ``shipped_bytes``, ``fetched_bytes``,
@@ -169,13 +169,14 @@ class Engine(Protocol):
         """Evaluate the query; raises OutOfMemory / BudgetExceeded.
 
         ``executor`` selects the :mod:`repro.runtime` backend carrying
-        the local per-worker computation; None keeps the historical
-        inline (simulated) evaluation.
+        the local per-worker computation; None runs on a fresh
+        :class:`~repro.runtime.SerialExecutor`
+        (:func:`~repro.runtime.executor.default_executor`).
         """
         ...
 
 
-def _failure_extra(executor: Executor | None, baseline, **extra) -> dict:
+def _failure_extra(executor: Executor, baseline, **extra) -> dict:
     """Extra payload for a failed run: real data-plane counters included.
 
     The engine's own ``finally`` has already torn the epoch down by the
@@ -187,13 +188,12 @@ def _failure_extra(executor: Executor | None, baseline, **extra) -> dict:
     epoch down (it failed before touching the transport) and reporting
     the previous run's counters would be a lie — report nothing.
     """
-    if executor is not None:
-        transport = executor.transport
-        epoch = transport.last_epoch
-        if epoch is not baseline and (epoch.published_blocks
-                                      or epoch.shipped_refs):
-            extra["data_plane"] = dict(epoch.as_dict(),
-                                       transport=transport.name)
+    transport = executor.transport
+    epoch = transport.last_epoch
+    if epoch is not baseline and (epoch.published_blocks
+                                  or epoch.shipped_refs):
+        extra["data_plane"] = dict(epoch.as_dict(),
+                                   transport=transport.name)
     return extra
 
 
@@ -203,12 +203,10 @@ def run_engine_safely(engine: Engine, query: JoinQuery, db: Database,
     """Run an engine, converting the paper's two failure modes into a
     failed :class:`EngineResult` (missing bar / frame-top bar).  Runtime
     worker crashes surface the same way (``failure="crash"``)."""
-    baseline = executor.transport.last_epoch if executor is not None \
-        else None
+    executor = default_executor(executor)
+    baseline = executor.transport.last_epoch
     try:
-        if executor is not None:
-            return engine.run(query, db, cluster, executor=executor)
-        return engine.run(query, db, cluster)
+        return engine.run(query, db, cluster, executor=executor)
     except OutOfMemory:
         return EngineResult(engine=engine.name, query=query.name, count=-1,
                             breakdown=CostBreakdown(), failure="oom",

@@ -37,12 +37,13 @@ PROFILE_SCHEMA_VERSION = 1
 #: Modeled cost phase -> the measured telemetry phases it corresponds
 #: to.  ``communication`` is the shuffle/route + publish wall;
 #: ``computation`` is task execution (plus engine-specific phases such
-#: as sparksql's ``partition``); ``optimization``/``precompute`` happen
-#: on the coordinator before the runtime path starts and have no
-#: telemetry counterpart.
+#: as sparksql's ``partition``); ``precompute`` is measured only where
+#: it runs as executor tasks (Yannakakis' bag materialization) — ADJ's
+#: precompute and every engine's optimization happen on the coordinator
+#: and have no telemetry counterpart yet.
 _PHASE_MAP: dict[str, tuple[str, ...]] = {
     "optimization": (),
-    "precompute": (),
+    "precompute": ("precompute",),
     "communication": ("shuffle", "publish"),
     "computation": ("local_join", "partition"),
 }
@@ -54,9 +55,8 @@ class PhaseRow:
 
     name: str
     modeled: float
-    #: Measured wall-clock seconds; None when the run never touched the
-    #: runtime path (pure-serial, no transport) or the phase has no
-    #: measured counterpart (optimization/precompute).
+    #: Measured wall-clock seconds; None when the phase has no measured
+    #: counterpart (optimization/precompute) or the run failed.
     measured: float | None = None
     #: The telemetry phases folded into ``measured`` (e.g. shuffle +
     #: publish for communication), for the tree rendering.
@@ -158,7 +158,7 @@ class QueryProfile:
         status = "ok" if self.ok else f"FAILED ({self.failure})"
         head = (f"profile {self.query_id} engine={self.engine} "
                 f"count={self.count:,} backend={self.backend} "
-                f"transport={self.transport or 'inline'} "
+                f"transport={self.transport or '-'} "
                 f"kernel={self.kernel or '-'} [{status}]")
         lines = [head, "├─ phases (modeled model-s vs measured wall-s)"]
         for row in self.phases:

@@ -2,9 +2,9 @@
 
 One interface, three implementations:
 
-- ``serial``    — tasks run inline in the calling process, in submission
-  order.  Semantically identical to the historical simulated behaviour
-  and the default everywhere.
+- ``serial``    — tasks run one after another in the calling process, in
+  submission order.  The default everywhere: an engine called without
+  an executor runs on a fresh one (:func:`default_executor`).
 - ``threads``   — a ``ThreadPoolExecutor``.  Cheap to start and shares
   memory, but Leapfrog is Python/numpy-bound so the GIL caps speedup;
   useful for overlap with I/O and for testing task plumbing.
@@ -13,20 +13,17 @@ One interface, three implementations:
   to worker processes, so task functions must be importable top-level
   functions (spawn/fork safe — see docs/runtime.md).
 
-Two submission APIs share one failure contract:
+One submission API, ``submit_tasks(fn, tasks)``: ``tasks`` may be a
+*lazy* iterable (e.g. the scheduler's
+:func:`~repro.runtime.scheduler.iter_routed_tasks` generator, which
+publishes relations and mints descriptors as it goes).  Pool backends
+submit each task the moment the iterable produces it, so the first
+tasks execute while later ones are still being routed/published — the
+pipelined-epoch overlap.  Results are yielded in submission order;
+callers that want them all at once write
+``list(ex.submit_tasks(fn, tasks))``.
 
-- ``map_tasks(fn, tasks)`` — the barrier API: every task is known up
-  front, results come back as one ordered list.
-- ``submit_tasks(fn, tasks)`` — the streaming API: ``tasks`` may be a
-  *lazy* iterable (e.g. the scheduler's
-  :func:`~repro.runtime.scheduler.iter_routed_tasks` generator, which
-  publishes relations and mints descriptors as it goes).  Pool backends
-  submit each task the moment the iterable produces it, so the first
-  tasks execute while later ones are still being routed/published —
-  the pipelined-epoch overlap.  Results are yielded in submission
-  order.
-
-Failure contract (both APIs): a task that raises anything other than a
+Failure contract: a task that raises anything other than a
 :class:`repro.errors.ReproError` — or a worker process that dies — is
 converted into :class:`repro.errors.WorkerCrashed` so engines fail
 cleanly instead of hanging or leaking backend internals.  A recoverable
@@ -48,7 +45,7 @@ from __future__ import annotations
 
 import os
 import threading
-from abc import ABC, abstractmethod
+from abc import ABC
 from concurrent.futures import (
     FIRST_EXCEPTION,
     BrokenExecutor,
@@ -56,7 +53,7 @@ from concurrent.futures import (
     ThreadPoolExecutor,
     wait,
 )
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from ..errors import ConfigError, ReproError, WorkerCrashed
 from ..obs.tracing import current_tracer
@@ -72,32 +69,12 @@ __all__ = [
     "create_executor",
     "executor_for",
     "available_parallelism",
-    "PIPELINE_ENV_VAR",
-    "default_pipeline",
+    "default_executor",
+    "routing_threads",
 ]
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-#: Environment variable toggling pipelined epochs (default on).
-PIPELINE_ENV_VAR = "REPRO_PIPELINE"
-
-_PIPELINE_VALUES = {"on": True, "1": True, "true": True, "yes": True,
-                    "off": False, "0": False, "false": False, "no": False}
-
-
-def default_pipeline() -> bool:
-    """Pipelined-epoch default from ``REPRO_PIPELINE`` (on unless set)."""
-    raw = os.environ.get(PIPELINE_ENV_VAR)
-    if raw is None:
-        return True
-    value = _PIPELINE_VALUES.get(raw.strip().lower())
-    if value is None:
-        raise ConfigError(
-            f"{PIPELINE_ENV_VAR} must be one of "
-            f"{sorted(_PIPELINE_VALUES)}, got {raw!r}")
-    return value
-
 
 def available_parallelism() -> int:
     """CPUs this process may actually use (affinity-aware)."""
@@ -108,18 +85,17 @@ def available_parallelism() -> int:
 
 
 class Executor(ABC):
-    """Runs a batch of worker tasks and returns their results in order."""
+    """Runs a stream of worker tasks and yields their results in order."""
 
     name: str = "abstract"
     #: Whether ``submit_tasks`` really executes tasks concurrently with
     #: their production.  False here (and for ``serial``): the base
-    #: implementation runs tasks inline between mints, so there is no
+    #: implementation runs each task between mints, so there is no
     #: overlap to measure.  Pool backends set True.
     concurrent: bool = False
 
     def __init__(self, max_workers: int | None = None,
-                 transport: "Transport | str | None" = None,
-                 pipeline: bool | None = None):
+                 transport: "Transport | str | None" = None):
         if max_workers is None:
             max_workers = 1
         max_workers = int(max_workers)
@@ -127,11 +103,6 @@ class Executor(ABC):
             raise ConfigError(
                 f"max_workers must be >= 1, got {max_workers}")
         self.max_workers = max_workers
-        #: Whether engines should stream tasks through ``submit_tasks``
-        #: (pipelined epochs) instead of the ``map_tasks`` barrier;
-        #: None defers to ``REPRO_PIPELINE`` (default on).
-        self.pipeline = default_pipeline() if pipeline is None \
-            else bool(pipeline)
         self._transport: Transport | None = (
             create_transport(transport) if transport is not None else None)
 
@@ -146,30 +117,20 @@ class Executor(ABC):
             self._transport = create_transport()
         return self._transport
 
-    @abstractmethod
-    def map_tasks(self, fn: Callable[[T], R], tasks: Sequence[T]
-                  ) -> list[R]:
-        """Apply ``fn`` to every task; results keep submission order.
-
-        Raises :class:`ReproError` subclasses from tasks unchanged and
-        wraps everything else in :class:`WorkerCrashed`.
-        """
-
     def submit_tasks(self, fn: Callable[[T], R], tasks: Iterable[T]
                      ) -> Iterator[R]:
-        """Streaming variant of :meth:`map_tasks` for *lazy* task sources.
+        """Apply ``fn`` to every task of a (possibly lazy) stream.
 
         Consumes ``tasks`` (which may be a generator doing real work —
         publishing relations, minting descriptors) and yields results in
         submission order.  The base implementation executes each task
-        inline as soon as the iterable produces it (the serial
-        behaviour); pool backends override this to submit tasks as they
-        stream in, so execution overlaps with task production.
+        in the calling thread as soon as the iterable produces it (the
+        serial behaviour); pool backends override this to submit tasks
+        as they stream in, so execution overlaps with task production.
 
-        Same failure contract as :meth:`map_tasks`: ReproError
-        subclasses propagate unchanged, everything else becomes
-        :class:`WorkerCrashed`, and neither outcome tears down the
-        transport — the caller owns the epoch.
+        ReproError subclasses raised by ``fn`` propagate unchanged,
+        everything else becomes :class:`WorkerCrashed`, and neither
+        outcome tears down the transport — the caller owns the epoch.
         """
         with current_tracer().span("submit_tasks", cat="executor",
                                    backend=self.name):
@@ -209,24 +170,32 @@ class Executor(ABC):
 
 
 class SerialExecutor(Executor):
-    """Inline execution — today's simulated behaviour, zero overhead."""
+    """Tasks run one by one in the calling thread, in submission order."""
 
     name = "serial"
 
-    def map_tasks(self, fn: Callable[[T], R], tasks: Sequence[T]
-                  ) -> list[R]:
-        out: list[R] = []
-        with current_tracer().span("map_tasks", cat="executor",
-                                   backend=self.name, tasks=len(tasks)):
-            for i, task in enumerate(tasks):
-                try:
-                    out.append(fn(task))
-                except ReproError:
-                    raise
-                except Exception as exc:
-                    raise WorkerCrashed(
-                        i, f"{type(exc).__name__}: {exc}") from exc
-        return out
+
+def default_executor(executor: Executor | None = None) -> Executor:
+    """The executor an engine run uses: ``executor``, else a fresh serial one.
+
+    Engines take ``executor=None`` as a default argument and resolve it
+    here, so every run has exactly one execution path.  The fresh
+    :class:`SerialExecutor` publishes through ``REPRO_TRANSPORT``
+    (default ``pickle``); the engine tears its transport down when the
+    run ends, which releases everything it holds.
+    """
+    return executor if executor is not None else SerialExecutor()
+
+
+def routing_threads(executor: Executor) -> int | None:
+    """Coordinator threads for HCube routing on ``executor``'s runs.
+
+    Pool backends route atoms concurrently, so routing overlaps the
+    tasks already running.  A serial run stays on the calling thread:
+    with nothing to overlap, starting a routing pool per query only
+    adds its start-up cost.
+    """
+    return available_parallelism() if executor.concurrent else None
 
 
 class _PoolExecutor(Executor):
@@ -235,14 +204,12 @@ class _PoolExecutor(Executor):
     concurrent = True
 
     def __init__(self, max_workers: int | None = None,
-                 transport: "Transport | str | None" = None,
-                 pipeline: bool | None = None):
-        super().__init__(max_workers, transport=transport,
-                         pipeline=pipeline)
+                 transport: "Transport | str | None" = None):
+        super().__init__(max_workers, transport=transport)
         self._pool = None
         # Guards pool creation/teardown: concurrent queries sharing one
         # warm executor (through ExecutorViews) may race to the first
-        # map_tasks call; without the lock two pools get built and one
+        # submit_tasks call; without the lock two pools get built and one
         # leaks its worker threads/processes.  Reentrant because a
         # failing ``_make_pool`` (e.g. RemoteExecutor with an
         # unreachable host) cleans up via ``close`` -> ``_shutdown_pool``
@@ -262,14 +229,19 @@ class _PoolExecutor(Executor):
         super().setup()
         self._ensure_pool()
 
-    def _shutdown_pool(self) -> None:
+    def _shutdown_pool(self, join: bool) -> None:
         """Discard the pool only — the transport (and its epoch counters)
         stays alive, because the *engine* owns the epoch and must be able
         to tear it down itself and read real ``last_epoch`` stats even
-        after a failed run."""
+        after a failed run.
+
+        ``join=True`` (``close``) waits for the pool's threads/processes
+        so none outlives the executor; the crash path passes ``False``,
+        because a broken pool may never finish its remaining work.
+        """
         with self._pool_lock:
             if self._pool is not None:
-                self._pool.shutdown(wait=False, cancel_futures=True)
+                self._pool.shutdown(wait=join, cancel_futures=True)
                 self._pool = None
 
     def _raise_if_cancelled(self, futures) -> None:
@@ -298,44 +270,10 @@ class _PoolExecutor(Executor):
         # Genuine crash: a broken pool (dead worker process) or an
         # unexpected exception.  The pool may be unusable; discard it —
         # but never the transport (the engine's teardown owns the epoch).
-        self._shutdown_pool()
+        self._shutdown_pool(join=False)
         raise WorkerCrashed(
             futures.index(failed),
             f"{type(exc).__name__}: {exc}") from exc
-
-    def map_tasks(self, fn: Callable[[T], R], tasks: Sequence[T]
-                  ) -> list[R]:
-        tasks = list(tasks)
-        if not tasks:
-            return []
-        pool = self._ensure_pool()
-        with current_tracer().span("map_tasks", cat="executor",
-                                   backend=self.name, tasks=len(tasks)):
-            try:
-                futures = [pool.submit(fn, t) for t in tasks]
-            except Exception as exc:
-                if isinstance(exc, BrokenExecutor):
-                    self._shutdown_pool()
-                raise WorkerCrashed(
-                    -1, f"task submission failed: "
-                        f"{type(exc).__name__}: {exc}") from exc
-            # Block until everything finished or something failed —
-            # healthy long runs never time out.  On failure, report the
-            # future that actually holds the exception (not whichever
-            # healthy task is still running) and cancel the rest.
-            done, pending = wait(futures, return_when=FIRST_EXCEPTION)
-            failed = next(
-                (f for f in done if not f.cancelled()
-                 and f.exception() is not None), None)
-            if failed is not None:
-                for f in pending:
-                    f.cancel()
-                self._raise_failure(futures, failed)
-            self._raise_if_cancelled(futures)
-            # No exception => FIRST_EXCEPTION degenerated to
-            # ALL_COMPLETED, so every result is ready and result()
-            # cannot block.
-            return [future.result() for future in futures]
 
     def submit_tasks(self, fn: Callable[[T], R], tasks: Iterable[T]
                      ) -> Iterator[R]:
@@ -362,7 +300,14 @@ class _PoolExecutor(Executor):
                 for task in tasks:
                     if abort.is_set():
                         break
-                    future = pool.submit(fn, task)
+                    try:
+                        future = pool.submit(fn, task)
+                    except Exception as exc:
+                        if isinstance(exc, BrokenExecutor):
+                            self._shutdown_pool(join=False)
+                        raise WorkerCrashed(
+                            -1, f"task submission failed: "
+                                f"{type(exc).__name__}: {exc}") from exc
                     future.add_done_callback(_watch)
                     futures.append(future)
             except Exception:
@@ -381,11 +326,14 @@ class _PoolExecutor(Executor):
                     f.cancel()
                 self._raise_failure(futures, failed)
             self._raise_if_cancelled(futures)
+            # No exception => FIRST_EXCEPTION degenerated to
+            # ALL_COMPLETED, so every result is ready and result()
+            # cannot block.
             for future in futures:
                 yield future.result()
 
     def close(self) -> None:
-        self._shutdown_pool()
+        self._shutdown_pool(join=True)
         super().close()
 
 
@@ -406,10 +354,8 @@ class ProcessExecutor(_PoolExecutor):
 
     def __init__(self, max_workers: int | None = None,
                  transport: "Transport | str | None" = None,
-                 pipeline: bool | None = None,
                  start_method: str | None = None):
-        super().__init__(max_workers, transport=transport,
-                         pipeline=pipeline)
+        super().__init__(max_workers, transport=transport)
         self.start_method = start_method
 
     def _make_pool(self):
@@ -428,7 +374,7 @@ class ExecutorView(Executor):
     publish an epoch, tear it down in ``finally``, read the frozen
     ``last_epoch`` counters.  A warm cluster serving concurrent queries
     breaks that single-run assumption, so each query gets a *view*:
-    ``map_tasks``/``submit_tasks`` delegate to the shared base executor
+    ``submit_tasks`` delegates to the shared base executor
     (one worker pool, amortized across queries) while :attr:`transport`
     is a private instance stamped with a per-query epoch id.  Published
     blocks, :class:`~repro.runtime.transport.TransportStats` and the
@@ -442,8 +388,7 @@ class ExecutorView(Executor):
 
     def __init__(self, base: Executor, transport: "Transport | str | None"
                  = None, epoch: str | None = None):
-        super().__init__(base.max_workers, transport=transport,
-                         pipeline=base.pipeline)
+        super().__init__(base.max_workers, transport=transport)
         self._base = base
         self.name = base.name
         self.concurrent = base.concurrent
@@ -455,10 +400,6 @@ class ExecutorView(Executor):
     def base(self) -> Executor:
         """The shared executor this view delegates execution to."""
         return self._base
-
-    def map_tasks(self, fn: Callable[[T], R], tasks: Sequence[T]
-                  ) -> list[R]:
-        return self._base.map_tasks(fn, tasks)
 
     def submit_tasks(self, fn: Callable[[T], R], tasks: Iterable[T]
                      ) -> Iterator[R]:
@@ -499,15 +440,13 @@ def available_backends() -> tuple[str, ...]:
 
 def create_executor(backend: str, max_workers: int | None = None,
                     transport: "Transport | str | None" = None,
-                    pipeline: bool | None = None,
                     **kwargs) -> Executor:
     """Instantiate a backend by name
     (``serial``/``threads``/``processes``/``remote``).
 
     ``transport`` names (or supplies) the data plane; ``None`` defers to
     ``REPRO_TRANSPORT`` at first use (the ``remote`` backend defaults to
-    ``tcp`` instead).  ``pipeline`` toggles pipelined epochs; ``None``
-    defers to ``REPRO_PIPELINE`` (default on).
+    ``tcp`` instead).
     """
     cls = _BACKENDS.get(backend)
     if cls is None and backend in _LAZY_BACKENDS:
@@ -519,14 +458,12 @@ def create_executor(backend: str, max_workers: int | None = None,
         raise ConfigError(
             f"unknown runtime backend {backend!r}; "
             f"choose from {available_backends()}")
-    return cls(max_workers, transport=transport, pipeline=pipeline,
-               **kwargs)
+    return cls(max_workers, transport=transport, **kwargs)
 
 
 def executor_for(cluster,
                  transport: "Transport | str | None" = None,
-                 hosts=None,
-                 pipeline: bool | None = None) -> Executor:
+                 hosts=None) -> Executor:
     """Executor matching a :class:`repro.distributed.Cluster`'s hint.
 
     The pool size is the cluster's worker count capped at the CPUs the
@@ -542,5 +479,4 @@ def executor_for(cluster,
     if cluster.runtime == "remote":
         kwargs["hosts"] = hosts
     return create_executor(cluster.runtime, max_workers=workers,
-                           transport=transport, pipeline=pipeline,
-                           **kwargs)
+                           transport=transport, **kwargs)

@@ -41,7 +41,7 @@ class RuntimeTelemetry:
     #: coexisted — the pipelined-epoch overlap window.  Not a phase:
     #: it measures concurrency between phases, so it is excluded from
     #: :attr:`total` (which would double-count it).  Zero on the
-    #: barrier path by construction.
+    #: serial backend by construction.
     overlap_seconds: float = 0.0
 
     @property
@@ -103,7 +103,7 @@ def modeled_vs_measured(breakdown, telemetry: RuntimeTelemetry | None
 
     ``measured_overlap`` (pipelined mint/execute overlap window) and
     ``straggler_seconds`` (slowest worker task — the parallel makespan)
-    ride along so bench tables show pipeline wins and load imbalance
+    ride along so bench tables show overlap wins and load imbalance
     without digging through per-run telemetry objects.
     """
     return {

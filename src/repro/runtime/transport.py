@@ -17,8 +17,8 @@ Three backends, looked up through a string-keyed registry
 :mod:`repro.engines.registry`):
 
 - :class:`PickleTransport` — descriptors carry the sliced partition
-  inline; semantically identical to the historical behaviour (arrays are
-  pickled across the process boundary).
+  itself (arrays are pickled across the process boundary); the
+  default.
 - :class:`SharedMemoryTransport` — each source array is copied once into
   a ``multiprocessing.shared_memory`` block; descriptors carry only
   ``(block name, dtype, shape, row indices)``, so large matrices cross
@@ -309,7 +309,7 @@ class Transport(ABC):
 
 
 class PickleTransport(Transport):
-    """The historical data plane: partitions travel inside the pickle."""
+    """The default data plane: partitions travel inside the pickle."""
 
     name = "pickle"
 

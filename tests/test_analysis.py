@@ -78,7 +78,7 @@ def test_unknown_rule_rejected(tmp_path):
 def test_spawn_safety_fires_on_lambda_over_seam(tmp_path):
     findings = lint_source(tmp_path, """
         def go(executor, tasks):
-            return executor.map_tasks(lambda t: t, tasks)
+            return list(executor.submit_tasks(lambda t: t, tasks))
     """, rules=["spawn-safety"])
     assert rules_of(findings) == {"spawn-safety"}
 
@@ -90,7 +90,7 @@ def test_spawn_safety_fires_on_local_def_and_bound_method(tmp_path):
                 def helper(t):
                     return t
                 executor.submit_tasks(helper, tasks)
-                executor.map_tasks(self.handle, tasks)
+                executor.submit_tasks(self.handle, tasks)
     """, rules=["spawn-safety"])
     assert len(findings) == 2
 
@@ -112,7 +112,7 @@ def test_spawn_safety_clean_on_module_level_callable(tmp_path):
             return task
 
         def go(executor, tasks):
-            executor.map_tasks(execute_worker_task, tasks)
+            executor.submit_tasks(execute_worker_task, tasks)
             executor.submit_tasks(partial(execute_worker_task), tasks)
             return WorkerTask(cube=(0,), kernel="adaptive")
     """, rules=["spawn-safety"])
@@ -393,7 +393,7 @@ def test_suppression_only_silences_named_rule(tmp_path):
     findings = lint_source(tmp_path, """
         def go(executor, tasks):
             # repro: lint-ignore[error-taxonomy] wrong rule named
-            executor.map_tasks(lambda t: t, tasks)
+            executor.submit_tasks(lambda t: t, tasks)
     """, rules=["spawn-safety", "error-taxonomy"])
     assert rules_of(findings) == {"spawn-safety"}
 

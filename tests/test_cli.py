@@ -12,6 +12,7 @@ from repro.distributed.metrics import CostBreakdown
 from repro.engines import registry
 from repro.engines.base import EngineResult
 from repro.runtime.executor import Executor
+from repro.runtime.transport import default_transport_name
 
 SMALL = ["--scale", "1e-5", "--samples", "10"]
 
@@ -32,7 +33,7 @@ class TestSmoke:
         assert main(["run", "wb", "Q1", "--engine", "adj", *SMALL]) == 0
         out = capsys.readouterr().out
         assert "ADJ" in out
-        assert "transport=inline" in out
+        assert f"transport={default_transport_name()}" in out
 
     def test_run_all_engines(self, capsys):
         assert main(["run", "wb", "Q1", "--engine", "all", *SMALL]) == 0
@@ -169,15 +170,23 @@ class TestExecutorCleanup:
         assert closed, "executor was never closed"
         assert all(ex._pool is None for ex in closed)
 
-    def test_serial_run_creates_no_executor(self, monkeypatch):
-        created = []
-        original_init = Executor.__init__
+    def test_serial_run_creates_one_executor(self, monkeypatch):
+        """The session's one SerialExecutor carries the run and is
+        closed with the session — engines make no executor of their own."""
+        created, closed = [], []
+        original_init, original_close = Executor.__init__, Executor.close
 
         def tracking_init(self, *args, **kwargs):
             created.append(self)
             original_init(self, *args, **kwargs)
 
+        def tracking_close(self):
+            closed.append(self)
+            original_close(self)
+
         monkeypatch.setattr(Executor, "__init__", tracking_init)
+        monkeypatch.setattr(Executor, "close", tracking_close)
         assert main(["run", "wb", "Q1", "--engine", "hcubej",
                      *SMALL]) == 0
-        assert not created
+        assert [ex.name for ex in created] == ["serial"]
+        assert closed == created

@@ -8,8 +8,8 @@ Four invariant families:
 - **equivalence** — ``wcoj``, ``binary`` and ``adaptive`` produce
   identical counts *and tuple sets*, cross-checked against the textbook
   :func:`~repro.wcoj.leapfrog.leapfrog_reference`, over random queries
-  and databases (Hypothesis) and across every transport and both
-  pipeline modes;
+  and databases (Hypothesis) and across every transport, on private
+  and shared-context sessions;
 - **survival** — the kernel key crosses spawn process pools and remote
   :class:`~repro.net.WorkerAgent` tasks intact;
 - **seed parity** — ``kernel="wcoj"`` reproduces the historical
@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import JoinSession, RunConfig
+from repro.api import ClusterContext, JoinSession, RunConfig
 from repro.cli import main
 from repro.data import Database, Relation
 from repro.distributed import Cluster
@@ -169,13 +169,22 @@ class TestKernelEquivalence:
             assert result_tuples(result) == expected, key
 
     @pytest.mark.parametrize("transport", TRANSPORTS)
-    @pytest.mark.parametrize("pipeline", [True, False])
-    def test_kernels_agree_across_transports(self, transport, pipeline):
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_kernels_agree_across_transports(self, transport, shared):
+        """Private sessions and per-query views of a shared context."""
         counts = {}
         for kernel in available_kernels():
-            with JoinSession(workers=2, transport=transport,
-                             pipeline=pipeline, kernel=kernel,
-                             scale=1e-5, samples=10) as session:
+            knobs = dict(kernel=kernel, scale=1e-5, samples=10)
+            if shared:
+                # The session holds the context's only reference, so
+                # closing the session closes the context too.
+                context = ClusterContext(RunConfig(workers=2,
+                                                   transport=transport))
+                session = context.session(**knobs)
+            else:
+                session = JoinSession(workers=2, transport=transport,
+                                      **knobs)
+            with session:
                 result = session.query("wb", "Q7").run("hcubej")
             assert result.ok, (kernel, transport, result.failure)
             counts[kernel] = result.count
@@ -192,7 +201,8 @@ class TestKernelEquivalence:
         res = YannakakisJoin(kernel="adaptive").run(query, db, cluster)
         assert res.count == base.count
         decisions = res.extra["kernel_decisions"]
-        assert set(decisions.values()) <= set(available_kernels())
+        assert {key for key, _ in decisions.values()} \
+            <= set(available_kernels())
 
 
 # -- survival: spawn pools and remote agents ----------------------------------
@@ -239,8 +249,8 @@ class TestSeedParity:
         assert kern.count == seed.count
         assert kern.extra["level_tuples"] == seed.extra["level_tuples"]
         assert kern.extra["leapfrog_work"] == seed.extra["leapfrog_work"]
-        assert kern.extra["kernel"] == "wcoj"
-        assert "kernel" not in seed.extra
+        # The engines' default kernel *is* wcoj.
+        assert kern.extra["kernel"] == seed.extra["kernel"] == "wcoj"
 
     def test_wcoj_kernel_matches_seed_adj(self):
         query = paper_query("Q1")

@@ -413,7 +413,7 @@ class TestWorkerAgent:
             ex = RemoteExecutor(hosts=[f"127.0.0.1:{agent.port}"],
                                 transport="pickle")
             try:
-                pids = ex.map_tasks(pid_task, [1, 2, 3, 4])
+                pids = list(ex.submit_tasks(pid_task, [1, 2, 3, 4]))
             finally:
                 ex.close()
         assert all(pid != os.getpid() for pid in pids)
@@ -442,7 +442,7 @@ class TestRemoteExecutor:
         ex = create_executor("remote", hosts=hosts_of(agents),
                              transport="pickle")
         try:
-            out = ex.map_tasks(double_task, list(range(20)))
+            out = list(ex.submit_tasks(double_task, list(range(20))))
             assert out == [2 * i for i in range(20)]
             assert sum(a.tasks_run for a in agents) == 20
             # Both hosts actually participated.
@@ -454,7 +454,7 @@ class TestRemoteExecutor:
         ex = RemoteExecutor(hosts=[*hosts_of(agents), "local:2"],
                             transport="pickle")
         try:
-            out = ex.map_tasks(double_task, list(range(30)))
+            out = list(ex.submit_tasks(double_task, list(range(30))))
             assert out == [2 * i for i in range(30)]
             assert sum(a.tasks_run for a in agents) < 30  # local ran some
         finally:
@@ -466,7 +466,7 @@ class TestRemoteExecutor:
         ex = RemoteExecutor(hosts=hosts_of(agents), transport="pickle")
         try:
             with pytest.raises(WorkerCrashed, match="exploded"):
-                ex.map_tasks(failing_task, [1, 2, 3])
+                list(ex.submit_tasks(failing_task, [1, 2, 3]))
         finally:
             ex.close()
 
@@ -479,7 +479,7 @@ class TestRemoteExecutor:
         ex = RemoteExecutor(hosts=[f"127.0.0.1:{port}"],
                             transport="pickle", connect_timeout=1.0)
         with pytest.raises(ConfigError, match="serve"):
-            ex.map_tasks(double_task, [1])
+            list(ex.submit_tasks(double_task, [1]))
         ex.close()
 
     def test_heartbeat_marks_dead_host(self, agents):
@@ -515,7 +515,7 @@ class TestRemoteExecutor:
             ex.setup()
             ex._mark_dead(ex.host_specs[0])
             with pytest.raises(WorkerCrashed, match=label):
-                ex.map_tasks(double_task, [1, 2, 3])
+                list(ex.submit_tasks(double_task, [1, 2, 3]))
         finally:
             ex.close()
 
@@ -528,7 +528,7 @@ class TestRemoteExecutor:
             ex._mark_dead(ex.host_specs[0])
             assert not ex.host_status()[hosts_of(agents)[0]]
             ex.close()
-            assert ex.map_tasks(double_task, [1, 2]) == [2, 4]  # reopen
+            assert list(ex.submit_tasks(double_task, [1, 2])) == [2, 4]  # reopen
             assert all(ex.host_status().values())
         finally:
             ex.close()

@@ -1,12 +1,11 @@
-"""Pipelined epochs: streaming submit_tasks, parity with the barrier
-path, and the failure-path regressions the barrier was hiding.
+"""Pipelined epochs: streaming submit_tasks, the streamed scheduler,
+and the failure-path regressions around them.
 
-The headline invariant: for every engine, every transport and every
-query, ``pipeline=on`` (streamed tasks, parallel routing, overlapped
-publish) produces bit-identical counts, ``level_tuples`` and data-plane
-totals to ``pipeline=off`` (the historical route -> publish -> execute
-barriers).  Failure paths must leave the pool reusable after recoverable
-errors and must never zero the epoch's data-plane counters.
+Streaming (tasks submitted as they are minted, parallel routing,
+overlapped publish) is the only scheduler; its counters are pinned by
+tests/test_golden_counters.py.  Failure paths must leave the pool
+reusable after recoverable errors and must never zero the epoch's
+data-plane counters.
 """
 
 import threading
@@ -14,40 +13,24 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.data import Database, Relation
 from repro.distributed import Cluster, HypercubeGrid
 from repro.distributed.hcube import hcube_route
-from repro.engines import (
-    ADJ,
-    BigJoin,
-    HCubeJ,
-    HCubeJCache,
-    SparkSQLJoin,
-    YannakakisJoin,
-    run_engine_safely,
-)
+from repro.engines import HCubeJ, run_engine_safely
 from repro.errors import BudgetExceeded, ConfigError, WorkerCrashed
 from repro.query import paper_query
 from repro.runtime import (
+    ExecutorView,
     SerialExecutor,
     ThreadExecutor,
-    build_routed_tasks,
     create_executor,
     iter_routed_tasks,
     merge_task_results,
     run_streamed_tasks,
 )
-from repro.runtime.executor import default_pipeline
-from repro.runtime.transport import (
-    PickleTransport,
-    SharedMemoryTransport,
-)
+from repro.runtime.transport import SharedMemoryTransport
 from repro.wcoj import leapfrog_join
-
-TRANSPORTS = ("pickle", "shm", "tcp")
 
 
 def graph_case(query_name, seed=0, n=150, dom=25):
@@ -57,11 +40,6 @@ def graph_case(query_name, seed=0, n=150, dom=25):
     db = Database(Relation(a.relation, ("x", "y"), edges)
                   for a in query.atoms)
     return query, db
-
-
-def engine_lineup():
-    return (HCubeJ(), HCubeJCache(), BigJoin(), SparkSQLJoin(),
-            YannakakisJoin(), ADJ(num_samples=10))
 
 
 # -- top-level task functions (picklable) -------------------------------------
@@ -158,27 +136,19 @@ class TestSubmitTasks:
             with pytest.raises(ValueError, match="mint failed"):
                 list(ex.submit_tasks(_double, broken_stream()))
 
-    @settings(max_examples=25, deadline=None)
-    @given(values=st.lists(st.integers(-1000, 1000), max_size=30))
-    def test_streamed_equals_barrier(self, values):
-        """Property: submit_tasks ≡ map_tasks for any task list."""
-        with ThreadExecutor(2) as ex:
-            assert list(ex.submit_tasks(_double, iter(values))) \
-                == ex.map_tasks(_double, values)
-
 
 class TestFailurePathRegressions:
-    """The `map_tasks closes a healthy pool` bug (ISSUE 5, satellite 1)."""
+    """A recoverable task error must not close a healthy pool."""
 
     def test_recoverable_failure_keeps_pool_and_transport(self):
         transport = SharedMemoryTransport()
         with ThreadExecutor(2, transport=transport) as ex:
             transport.publish("k", np.arange(6, dtype=np.int64))
             with pytest.raises(BudgetExceeded):
-                ex.map_tasks(_budget_trip, [1, 2])
+                list(ex.submit_tasks(_budget_trip, [1, 2]))
             # The pool survived a recoverable error...
             assert ex._pool is not None
-            assert ex.map_tasks(_double, [3]) == [6]
+            assert list(ex.submit_tasks(_double, [3])) == [6]
             # ...and the transport's epoch was NOT torn down mid-engine:
             # the current stats still hold the published block.
             assert transport.stats.published_blocks == 1
@@ -189,11 +159,11 @@ class TestFailurePathRegressions:
         with ThreadExecutor(2, transport=transport) as ex:
             transport.publish("k", np.arange(6, dtype=np.int64))
             with pytest.raises(WorkerCrashed):
-                ex.map_tasks(_boom, [1])
+                list(ex.submit_tasks(_boom, [1]))
             assert ex._pool is None          # genuine crash: pool gone
             assert transport.stats.published_blocks == 1   # epoch alive
             # A fresh pool is created transparently on next use.
-            assert ex.map_tasks(_double, [4]) == [8]
+            assert list(ex.submit_tasks(_double, [4])) == [8]
 
     def test_failure_before_transport_use_reports_no_stale_plane(self):
         """A failure that never touched the transport must not inherit
@@ -212,26 +182,27 @@ class TestFailurePathRegressions:
             assert oom.data_plane is None
 
     def test_serial_streaming_claims_no_overlap(self):
-        """Inline execution between mints is not concurrency: the
+        """Serial execution between mints is not concurrency: the
         serial backend must report overlap_seconds == 0."""
         query, db = graph_case("Q1", seed=7)
-        with create_executor("serial", 2, transport="shm",
-                             pipeline=True) as ex:
+        with create_executor("serial", 2, transport="shm") as ex:
             result = HCubeJ().run(query, db, Cluster(num_workers=2),
                                   executor=ex)
         assert result.ok
         assert result.telemetry.overlap_seconds == 0.0
 
-    @pytest.mark.parametrize("pipeline", (False, True))
-    def test_budget_tripped_run_reports_real_data_plane(self, pipeline):
+    @pytest.mark.parametrize("shared", (False, True))
+    def test_budget_tripped_run_reports_real_data_plane(self, shared):
         """Regression: a budget-failed run must report what it actually
-        published, not zeros."""
+        published, not zeros — on the executor itself and on a per-query
+        view of a shared one."""
         query, db = graph_case("Q1", seed=7, n=300, dom=40)
         cluster = Cluster(num_workers=2)
-        with create_executor("threads", 2, transport="shm",
-                             pipeline=pipeline) as ex:
+        with create_executor("threads", 2, transport="shm") as ex:
+            run_on = ExecutorView(ex, transport="shm", epoch="e0001") \
+                if shared else ex
             result = run_engine_safely(HCubeJ(work_budget=3), query, db,
-                                       cluster, executor=ex)
+                                       cluster, executor=run_on)
             assert result.failure == "budget"
             plane = result.data_plane
             assert plane is not None and plane["transport"] == "shm"
@@ -239,7 +210,7 @@ class TestFailurePathRegressions:
                 db[a.relation].nbytes for a in query.atoms)
             assert plane["freed_blocks"] == plane["published_blocks"] > 0
             # The executor survives for the next query of the session.
-            assert ex.map_tasks(_double, [5]) == [10]
+            assert list(run_on.submit_tasks(_double, [5])) == [10]
 
 
 # -- streamed scheduler -------------------------------------------------------
@@ -253,23 +224,6 @@ def _routing(query_name="Q1", workers=3, seed=1):
 
 
 class TestStreamedScheduler:
-    def test_iter_routed_tasks_equals_build_routed_tasks(self):
-        query, db, routing = _routing()
-        t_barrier, t_stream = PickleTransport(), PickleTransport()
-        barrier = build_routed_tasks(routing, db, query.attributes,
-                                     transport=t_barrier)
-        streamed = list(iter_routed_tasks(routing, db, query.attributes,
-                                          transport=t_stream))
-        assert [t.worker for t in streamed] == \
-            [t.worker for t in barrier]
-        for ts, tb in zip(streamed, barrier):
-            assert len(ts.cubes) == len(tb.cubes)
-            for cs, cb in zip(ts.cubes, tb.cubes):
-                for rs, rb in zip(cs, cb):
-                    assert rs.num_rows == rb.num_rows
-                    np.testing.assert_array_equal(rs.data, rb.data)
-        assert t_stream.stats.as_dict() == t_barrier.stats.as_dict()
-
     def test_streamed_results_match_barrier_results(self):
         query, db, routing = _routing("Q9")
         truth = leapfrog_join(query, db).count
@@ -322,70 +276,6 @@ class TestStreamedScheduler:
             == narrow.stats.tuple_copies * 2 * 4
 
 
-# -- engine parity: pipelined ≡ barrier ---------------------------------------
-
-#: data_plane keys that must be identical between the two paths
-#: (fetch counters are excluded: worker-side tcp fetch caching is
-#: per-process and timing-dependent under streaming).
-_PLANE_KEYS = ("published_blocks", "published_bytes", "shipped_refs",
-               "shipped_bytes", "transport")
-
-
-class TestPipelineParity:
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    @pytest.mark.parametrize("query_name", ["Q1", "Q9"])
-    def test_all_engines_identical_to_barrier(self, query_name,
-                                              transport):
-        """Counts, level_tuples, modeled costs and data-plane totals are
-        identical with the pipeline on and off, for all six engines."""
-        query, db = graph_case(query_name, seed=11)
-        truth = leapfrog_join(query, db).count
-        cluster = Cluster(num_workers=3)
-        outcomes = {}
-        for pipeline in (False, True):
-            with create_executor("threads", 2, transport=transport,
-                                 pipeline=pipeline) as ex:
-                assert ex.pipeline is pipeline
-                for engine in engine_lineup():
-                    result = run_engine_safely(engine, query, db,
-                                               cluster, executor=ex)
-                    assert result.ok, (engine.name, transport, pipeline,
-                                       result.failure)
-                    outcomes[(engine.name, pipeline)] = result
-        for engine in engine_lineup():
-            off = outcomes[(engine.name, False)]
-            on = outcomes[(engine.name, True)]
-            assert on.count == off.count == truth, engine.name
-            assert on.breakdown.total == pytest.approx(
-                off.breakdown.total), engine.name
-            if "level_tuples" in off.extra:
-                assert on.extra["level_tuples"] \
-                    == off.extra["level_tuples"], engine.name
-            plane_on, plane_off = on.data_plane, off.data_plane
-            assert plane_on is not None and plane_off is not None
-            for key in _PLANE_KEYS:
-                assert plane_on[key] == plane_off[key], \
-                    (engine.name, transport, key)
-            # Overlap telemetry exists only on the pipelined path.
-            assert off.telemetry.overlap_seconds == 0.0
-            assert on.telemetry.overlap_seconds >= 0.0
-
-    def test_cache_hit_stats_match_barrier(self):
-        query, db = graph_case("Q1", seed=13)
-        cluster = Cluster(num_workers=2)
-        results = {}
-        for pipeline in (False, True):
-            with create_executor("serial", 2, transport="shm",
-                                 pipeline=pipeline) as ex:
-                results[pipeline] = HCubeJCache().run(query, db, cluster,
-                                                      executor=ex)
-        assert results[True].count == results[False].count
-        assert results[True].extra["cache_hits"] \
-            == results[False].extra["cache_hits"]
-        assert results[True].extra["cache_misses"] \
-            == results[False].extra["cache_misses"]
-
-
 class TestCrashMidStream:
     def test_segments_reclaimed_after_midstream_crash(self, monkeypatch):
         """A crash while tasks are still streaming cancels pending work
@@ -399,8 +289,7 @@ class TestCrashMidStream:
                             crashing_task)
         query, db = graph_case("Q1", seed=8)
         transport = SharedMemoryTransport()
-        with ThreadExecutor(2, transport=transport,
-                            pipeline=True) as ex:
+        with ThreadExecutor(2, transport=transport) as ex:
             result = run_engine_safely(HCubeJ(), query, db,
                                        Cluster(num_workers=2),
                                        executor=ex)
@@ -421,8 +310,7 @@ class TestCrashMidStream:
                             crashing_task)
         query, db = graph_case("Q1", seed=9)
         transport = TcpTransport()
-        with ThreadExecutor(2, transport=transport,
-                            pipeline=True) as ex:
+        with ThreadExecutor(2, transport=transport) as ex:
             result = run_engine_safely(HCubeJ(), query, db,
                                        Cluster(num_workers=2),
                                        executor=ex)
@@ -438,39 +326,19 @@ class TestCrashMidStream:
 
 class TestPipelineConfig:
     def test_env_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PIPELINE", raising=False)
-        assert default_pipeline() is True
-        monkeypatch.setenv("REPRO_PIPELINE", "off")
-        assert default_pipeline() is False
-        monkeypatch.setenv("REPRO_PIPELINE", "ON")
-        assert default_pipeline() is True
-        monkeypatch.setenv("REPRO_PIPELINE", "sideways")
-        with pytest.raises(ConfigError, match="REPRO_PIPELINE"):
-            default_pipeline()
-
-    def test_explicit_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PIPELINE", "off")
-        with create_executor("serial", 1, pipeline=True) as ex:
-            assert ex.pipeline is True
-        with create_executor("serial", 1) as ex:
-            assert ex.pipeline is False
-
-    def test_run_config_field(self, monkeypatch):
+        """The retired REPRO_PIPELINE variable no longer selects a mode."""
         from repro.api import RunConfig
 
-        monkeypatch.delenv("REPRO_PIPELINE", raising=False)
-        assert RunConfig().pipeline is True
         monkeypatch.setenv("REPRO_PIPELINE", "off")
-        assert RunConfig().pipeline is False
+        assert RunConfig().pipeline is True
+
+    def test_run_config_field(self):
+        from repro.api import RunConfig
+
+        assert RunConfig().pipeline is True
         assert RunConfig(pipeline=True).pipeline is True
-
-    def test_session_plumbs_pipeline_to_executor(self):
-        from repro.api import JoinSession
-
-        with JoinSession(workers=2, backend="threads",
-                         transport="pickle", pipeline=False) as session:
-            assert session.config.pipeline is False
-            assert session.executor().pipeline is False
+        with pytest.raises(ConfigError, match="pipeline"):
+            RunConfig(pipeline=False)
 
     def test_bad_max_workers_rejected(self):
         """Satellite: silent coercion of max_workers<1 is gone."""
@@ -482,15 +350,12 @@ class TestPipelineConfig:
         assert SerialExecutor(None).max_workers == 1
 
     def test_cli_pipeline_flag(self, capsys):
+        """``--pipeline`` is gone: argparse rejects it instead of
+        silently ignoring an A/B request."""
         from repro.cli import main
 
-        assert main(["run", "wb", "Q1", "--engine", "hcubej",
-                     "--scale", "1e-5", "--samples", "10",
-                     "--backend", "threads", "--pipeline", "off"]) == 0
-        out = capsys.readouterr().out
-        assert "pipeline=off" in out
-        assert main(["run", "wb", "Q1", "--engine", "hcubej",
-                     "--scale", "1e-5", "--samples", "10",
-                     "--backend", "threads", "--pipeline", "on"]) == 0
-        out = capsys.readouterr().out
-        assert "pipeline=on" in out
+        with pytest.raises(SystemExit):
+            main(["run", "wb", "Q1", "--engine", "hcubej",
+                  "--scale", "1e-5", "--backend", "threads",
+                  "--pipeline", "off"])
+        assert "--pipeline" in capsys.readouterr().err

@@ -99,6 +99,35 @@ class TestProfileMatrix:
                                             transport):
         _assert_reconciles(_profiled_run(query, backend, transport))
 
+    def test_default_session_measures_communication_and_computation(
+            self, monkeypatch):
+        """A session with no backend or transport still runs on an
+        executor, so its profile carries measured rows."""
+        monkeypatch.delenv("REPRO_TRANSPORT", raising=False)
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        with JoinSession(workers=2) as session:
+            result = session.query("wb", "Q1", scale=1e-5).run(
+                "adj", profile=True)
+        assert result.ok, result.failure
+        _assert_reconciles(result)
+        profile = result.profile
+        assert (profile.backend, profile.transport) == ("serial", "pickle")
+        rows = {row.name: row for row in profile.phases}
+        assert rows["communication"].measured is not None
+        assert rows["computation"].measured is not None
+        assert profile.measured_total > 0
+
+    def test_yannakakis_profile_lists_bag_kernel_decisions(self):
+        with JoinSession(workers=2, kernel="adaptive") as session:
+            result = session.query("wb", "Q5", scale=1e-5).run(
+                "yannakakis", profile=True)
+        assert result.ok, result.failure
+        _assert_reconciles(result)
+        decisions = result.profile.kernel_decisions
+        assert decisions and all(d["kernel"] in ("wcoj", "binary")
+                                 and d["reason"] for d in decisions)
+        assert "kernel decisions" in result.profile.render()
+
     def test_processes_backend_reconciles(self):
         _assert_reconciles(_profiled_run("Q1", "processes", "pickle"))
 

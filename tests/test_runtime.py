@@ -6,12 +6,14 @@ assert that a dying worker task surfaces as a clean engine failure
 """
 
 import os
+import threading
 
 import numpy as np
 import pytest
 
 from repro.data import Database, Relation
-from repro.distributed import Cluster, HypercubeGrid, hcube_shuffle
+from repro.distributed import Cluster, HypercubeGrid
+from repro.distributed.hcube import hcube_route
 from repro.engines import (
     ADJ,
     BigJoin,
@@ -30,12 +32,13 @@ from repro.runtime import (
     ThreadExecutor,
     WorkerTask,
     available_parallelism,
-    build_worker_tasks,
     create_executor,
     execute_worker_task,
     executor_for,
+    iter_routed_tasks,
     merge_task_results,
-    run_worker_tasks,
+    resolve_array_ref,
+    run_streamed_tasks,
 )
 from repro.wcoj import leapfrog_join
 
@@ -80,13 +83,13 @@ class TestExecutors:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_map_preserves_order(self, backend):
         with create_executor(backend, 2) as ex:
-            assert ex.map_tasks(_ok_task, [1, 2, 3]) == [2, 4, 6]
+            assert list(ex.submit_tasks(_ok_task, [1, 2, 3])) == [2, 4, 6]
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_task_exception_becomes_worker_crashed(self, backend):
         with create_executor(backend, 2) as ex:
             with pytest.raises(WorkerCrashed, match="boom"):
-                ex.map_tasks(_raise_task, [7])
+                list(ex.submit_tasks(_raise_task, [7]))
 
     def test_failure_reported_before_slow_healthy_tasks(self):
         """The crashed task is named, without waiting out healthy ones."""
@@ -94,18 +97,18 @@ class TestExecutors:
         start = time.perf_counter()
         with ThreadExecutor(2) as ex:
             with pytest.raises(WorkerCrashed, match="boom fast") as info:
-                ex.map_tasks(_slow_or_boom, [0, "boom"])
+                list(ex.submit_tasks(_slow_or_boom, [0, "boom"]))
         assert info.value.worker == 1
         assert time.perf_counter() - start < 5.0
 
     def test_dead_process_is_clean_failure_not_hang(self):
         with ProcessExecutor(2) as ex:
             with pytest.raises(WorkerCrashed):
-                ex.map_tasks(_exit_task, [1])
+                list(ex.submit_tasks(_exit_task, [1]))
 
     def test_empty_task_list(self):
         with create_executor("threads", 2) as ex:
-            assert ex.map_tasks(_ok_task, []) == []
+            assert list(ex.submit_tasks(_ok_task, [])) == []
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigError):
@@ -123,10 +126,27 @@ class TestExecutors:
         ex = executor_for(Cluster(num_workers=64, runtime="processes"))
         assert ex.max_workers <= max(available_parallelism(), 1)
 
+    @pytest.mark.parametrize("backend", ("threads", "processes"))
+    def test_close_leaves_no_pool_threads_or_fds(self, backend):
+        """close() joins the pool: no worker/feeder thread and no pipe
+        of a used executor outlives it."""
+        def pool_threads():
+            return {t for t in threading.enumerate()
+                    if t.name.startswith("repro-worker")
+                    or "QueueFeederThread" in t.name}
+
+        threads_before = pool_threads()
+        fds_before = len(os.listdir("/proc/self/fd"))
+        ex = create_executor(backend, 2)
+        assert list(ex.submit_tasks(_ok_task, [1, 2, 3])) == [2, 4, 6]
+        ex.close()
+        assert pool_threads() - threads_before == set()
+        assert len(os.listdir("/proc/self/fd")) <= fds_before
+
     def test_reuse_after_map(self):
         with create_executor("threads", 2) as ex:
-            assert ex.map_tasks(_ok_task, [1]) == [2]
-            assert ex.map_tasks(_ok_task, [2]) == [4]
+            assert list(ex.submit_tasks(_ok_task, [1])) == [2]
+            assert list(ex.submit_tasks(_ok_task, [2])) == [4]
 
 
 # -- scheduler + worker tasks -------------------------------------------------
@@ -138,9 +158,9 @@ class TestScheduler:
         shares[query.attributes[0]] = 2
         shares[query.attributes[1]] = 2
         grid = HypercubeGrid(query, shares, workers)
-        shuffle = hcube_shuffle(query, db, grid)
-        return (build_worker_tasks(shuffle, query.attributes,
-                                   budget=budget),
+        routing = hcube_route(query, db, grid)
+        return (list(iter_routed_tasks(routing, db, query.attributes,
+                                       budget=budget)),
                 leapfrog_join(query, db).count, query)
 
     def test_tasks_cover_all_cubes(self):
@@ -160,8 +180,8 @@ class TestScheduler:
         query, db = graph_case("Q9")
         grid = HypercubeGrid(query, {a: 1 for a in query.attributes[:-1]}
                              | {query.attributes[-1]: 3}, 3)
-        shuffle = hcube_shuffle(query, db, grid)
-        tasks = build_worker_tasks(shuffle, query.attributes)
+        routing = hcube_route(query, db, grid)
+        tasks = list(iter_routed_tasks(routing, db, query.attributes))
         merged = merge_task_results(
             [execute_worker_task(t) for t in tasks], query.num_attributes)
         assert merged.count == leapfrog_join(query, db).count
@@ -177,7 +197,7 @@ class TestScheduler:
         tasks, _, query = self._tasks()
         # Corrupt one payload: arity mismatch makes the worker fail.
         tasks[0].cubes[0] = tuple(
-            arr[:, :1] for arr in tasks[0].cubes[0])
+            resolve_array_ref(ref)[:, :1] for ref in tasks[0].cubes[0])
         results = [execute_worker_task(t) for t in tasks]
         assert any(r.failure == "crash" for r in results)
         with pytest.raises(WorkerCrashed):
@@ -190,11 +210,12 @@ class TestScheduler:
         assert res.total_seconds >= 0.0
         assert res.build_seconds >= 0.0 and res.join_seconds >= 0.0
 
-    def test_run_worker_tasks_fills_telemetry(self):
+    def test_run_streamed_tasks_fills_telemetry(self):
         tasks, truth, query = self._tasks()
         telemetry = RuntimeTelemetry(backend="serial", num_workers=4)
         with SerialExecutor(4) as ex:
-            results = run_worker_tasks(ex, tasks, telemetry=telemetry)
+            results = run_streamed_tasks(ex, iter(tasks),
+                                         telemetry=telemetry)
         merged = merge_task_results(results, query.num_attributes)
         assert merged.count == truth
         assert "local_join" in telemetry.phase_seconds
@@ -220,20 +241,24 @@ class TestEngineBackends:
                 assert result.count == truth, (engine.name, backend)
 
     def test_runtime_path_matches_inline_modeled_costs(self):
+        """An explicit executor matches the engine's own default one."""
         query, db = graph_case("Q1", seed=3)
         cluster = Cluster(num_workers=4)
-        inline = HCubeJ().run(query, db, cluster)
+        default = HCubeJ().run(query, db, cluster)
         with SerialExecutor(4) as ex:
             routed = HCubeJ().run(query, db, cluster, executor=ex)
-        assert routed.count == inline.count
+        assert routed.count == default.count
         assert routed.breakdown.total == pytest.approx(
-            inline.breakdown.total)
-        assert routed.extra["level_tuples"] == inline.extra["level_tuples"]
+            default.breakdown.total)
+        assert routed.extra["level_tuples"] == \
+            default.extra["level_tuples"]
 
-    def test_telemetry_attached_only_with_executor(self):
+    def test_telemetry_attached_on_every_run(self):
         query, db = graph_case("Q1", seed=4)
         cluster = Cluster(num_workers=2)
-        assert HCubeJ().run(query, db, cluster).telemetry is None
+        default = HCubeJ().run(query, db, cluster).telemetry
+        assert default is not None and default.backend == "serial"
+        assert "local_join" in default.phase_seconds
         with ThreadExecutor(2) as ex:
             result = HCubeJ().run(query, db, cluster, executor=ex)
         tel = result.telemetry
@@ -277,12 +302,12 @@ class TestEngineBackends:
         query, db = graph_case(query_name, seed=11, n=200, dom=30)
         truth = leapfrog_join(query, db).count
         cluster = Cluster(num_workers=3)
-        inline_totals = {}
+        default_totals = {}
         for engine in (HCubeJ(), HCubeJCache(), BigJoin(), SparkSQLJoin(),
                        YannakakisJoin(), ADJ(num_samples=15)):
-            inline = run_engine_safely(engine, query, db, cluster)
-            inline_totals[engine.name] = inline.breakdown.total
-            assert inline.count == truth
+            default = run_engine_safely(engine, query, db, cluster)
+            default_totals[engine.name] = default.breakdown.total
+            assert default.count == truth
         with create_executor("serial", 3, transport=transport) as ex:
             for engine in (HCubeJ(), HCubeJCache(), BigJoin(),
                            SparkSQLJoin(), YannakakisJoin(),
@@ -292,7 +317,7 @@ class TestEngineBackends:
                 assert result.ok, (engine.name, transport, result.failure)
                 assert result.count == truth, (engine.name, transport)
                 assert result.breakdown.total == pytest.approx(
-                    inline_totals[engine.name]), (engine.name, transport)
+                    default_totals[engine.name]), (engine.name, transport)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_yannakakis_and_cache_run_end_to_end(self, backend):
@@ -317,18 +342,19 @@ class TestEngineBackends:
                            result.telemetry.worker_seconds)
 
     def test_cache_hit_stats_match_inline(self):
-        """Worker-local caches reproduce the inline hit/miss counters."""
+        """Worker-local caches report the same hit/miss counters on the
+        default executor and on an explicit shm one."""
         query, db = graph_case("Q1", seed=13)
         cluster = Cluster(num_workers=2)
-        inline = HCubeJCache().run(query, db, cluster)
+        default = HCubeJCache().run(query, db, cluster)
         with create_executor("serial", 2, transport="shm") as ex:
             routed = HCubeJCache().run(query, db, cluster, executor=ex)
-        assert routed.count == inline.count
-        assert routed.extra["cache_hits"] == inline.extra["cache_hits"]
+        assert routed.count == default.count
+        assert routed.extra["cache_hits"] == default.extra["cache_hits"]
         assert routed.extra["cache_misses"] == \
-            inline.extra["cache_misses"]
-        assert inline.extra["cache_hits"] + \
-            inline.extra["cache_misses"] > 0
+            default.extra["cache_misses"]
+        assert default.extra["cache_hits"] + \
+            default.extra["cache_misses"] > 0
 
     def test_shm_ships_fewer_coordinator_bytes(self):
         """Regression: under shm, the data plane's ``bytes_copied`` is
@@ -358,8 +384,6 @@ class TestEngineBackends:
             raise WorkerCrashed(0, "simulated death")
 
         import repro.engines.one_round as one_round_mod
-        monkeypatch.setattr(one_round_mod, "run_worker_tasks",
-                            crashing_run)
         monkeypatch.setattr(one_round_mod, "run_streamed_tasks",
                             crashing_run)
         query, db = graph_case("Q1", seed=8)
